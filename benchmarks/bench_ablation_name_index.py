@@ -1,86 +1,57 @@
-"""A6 — ablation: inverted name index vs. instance scan.
+"""A6 — ablation: vocabulary walk vs. instance scan.
 
 At the paper's scale a search should stay interactive. The vocabulary of
 distinct names in a bank's meta-data is small relative to the number of
-named items (column names repeat across hundreds of tables); indexing it
-turns the per-search instance scan into a vocabulary scan. The results
-must be bit-identical either way.
+named items (column names repeat across hundreds of tables). Search
+walks the graph's own ``(dm:hasName, ?name, ?item)`` index and tests
+each distinct name once; the ablation is the instance scan it replaced,
+kept here as a naive reference: every named item, its name looked up,
+then the pattern. The hits must be bit-identical either way.
 """
 
+import re
 import time
 
-import pytest
+from repro.core.vocabulary import TERMS
+
+TERM = "customer"
 
 
-def test_a6_index_speedup(benchmark, medium_landscape, record):
+def instance_scan(mdw, term):
+    """The replaced path: one name lookup and one match per named item."""
+    pattern = re.compile(re.escape(term), re.IGNORECASE)
+    hits = []
+    for instance in sorted(set(mdw.graph.subjects(TERMS.has_name, None)), key=lambda t: t.sort_key()):
+        name = mdw.facts.name_of(instance)
+        if name is not None and pattern.search(name):
+            hits.append(instance)
+    return hits
+
+
+def test_a6_walk_vs_scan(benchmark, medium_landscape, record):
     mdw = medium_landscape.warehouse
-    service = mdw.search
 
-    # scan path
     t0 = time.perf_counter()
-    scan_results = service.search("customer")
+    scanned = instance_scan(mdw, TERM)
     scan_seconds = time.perf_counter() - t0
 
-    index = service.enable_index()
-
-    def indexed_search():
-        return service.search("customer")
-
-    indexed_results = benchmark(indexed_search)
-
-    assert [h.instance for h in indexed_results.hits] == [
-        h.instance for h in scan_results.hits
-    ]
+    walked = benchmark(lambda: mdw.search.search(TERM))
+    assert [h.instance for h in walked.hits] == scanned
 
     t0 = time.perf_counter()
-    service.search("customer")
-    indexed_seconds = time.perf_counter() - t0
+    mdw.search.search(TERM)
+    walk_seconds = time.perf_counter() - t0
 
-    named_items = len(index)
+    named_items = len(set(mdw.graph.subjects(TERMS.has_name, None)))
+    distinct_names = len(set(mdw.graph.objects(None, TERMS.has_name)))
     record(
         "A6",
-        "Inverted name index vs instance scan (medium landscape)",
+        "Vocabulary walk vs instance scan (medium landscape)",
         [
-            ("named items / distinct names", f"{named_items:,} / {index.vocabulary_size:,}"),
-            ("scan search", f"{scan_seconds * 1000:.1f} ms"),
-            ("indexed search", f"{indexed_seconds * 1000:.1f} ms"),
+            ("named items / distinct names", f"{named_items:,} / {distinct_names:,}"),
+            ("instance scan (name matching only)", f"{scan_seconds * 1000:.1f} ms"),
+            ("vocabulary walk (full search)", f"{walk_seconds * 1000:.1f} ms"),
             ("results identical", "True"),
-            ("speedup", f"{scan_seconds / max(indexed_seconds, 1e-9):.1f}x"),
+            ("speedup", f"{scan_seconds / max(walk_seconds, 1e-9):.1f}x"),
         ],
     )
-    # cleanliness for other benches sharing the session fixture
-    index.close()
-    service._index = None
-
-
-def test_a6_index_build_cost(benchmark, medium_landscape):
-    from repro.services.text_index import NameIndex
-
-    graph = medium_landscape.graph
-
-    def build():
-        index = NameIndex(graph, auto_maintain=False)
-        return index
-
-    index = benchmark(build)
-    assert index.vocabulary_size > 0
-
-
-def test_a6_maintenance_cost(benchmark, medium_landscape):
-    """Per-change maintenance must be O(1)-ish, not a rebuild."""
-    from repro.core.vocabulary import TERMS
-    from repro.rdf import Literal, Triple
-    from repro.services.text_index import NameIndex
-
-    mdw = medium_landscape.warehouse
-    index = NameIndex(mdw.graph)
-    counter = [0]
-
-    def add_named_item():
-        counter[0] += 1
-        node = mdw.facts.namespace.term(f"bench_idx_{counter[0]}")
-        mdw.graph.add(Triple(node, TERMS.has_name, Literal(f"bench_name_{counter[0]}")))
-        return node
-
-    benchmark(add_named_item)
-    index.close()

@@ -376,12 +376,37 @@ def test_deadline_enforcement_under_load(warehouse, record):
     assert after > 0
     assert snapshot["timeouts"] >= 1
 
+    # search and lineage keep the same promise: an every-item search and
+    # a trace down one long mapping chain, each several budgets long
+    probe = _deadline_probe_warehouse(DEADLINE_PROBE_ITEMS)
+    endpoint_walls = {}
+    with probe.serve(max_workers=2, max_queue=32) as service:
+        background = [
+            service.submit("search", term=f"item_{DEADLINE_PROBE_ITEMS - 1}") for _ in range(4)
+        ]
+        for kind, payload in (
+            ("search", {"term": "item"}),
+            ("lineage", {"item": "item_0", "direction": "downstream"}),
+        ):
+            started = time.perf_counter()
+            with pytest.raises(DeadlineExceeded) as excinfo:
+                service.execute(kind, timeout=timeout, **payload)
+            endpoint_walls[kind] = time.perf_counter() - started
+            assert excinfo.value.timeout == timeout
+        survivors = [len(ticket.result(timeout=120)) for ticket in background]
+    for kind, seconds in endpoint_walls.items():
+        assert seconds <= timeout * 1.5, (
+            f"{kind} timeout surfaced after {seconds:.3f}s (budget {timeout}s)"
+        )
+    assert survivors == [1] * len(survivors)
+
     _save(
         "deadline",
         {
             "budget_s": timeout,
             "observed_s": round(wall, 4),
             "ratio": round(wall / timeout, 2),
+            **{f"{kind}_observed_s": round(s, 4) for kind, s in endpoint_walls.items()},
         },
     )
     record(
@@ -390,6 +415,35 @@ def test_deadline_enforcement_under_load(warehouse, record):
         [
             ("budget", f"{timeout * 1000:.0f} ms"),
             ("typed error after", f"{wall * 1000:.0f} ms"),
+            *(
+                (f"{kind} typed error after", f"{s * 1000:.0f} ms")
+                for kind, s in endpoint_walls.items()
+            ),
             ("bound", "<= 1.5x budget"),
         ],
     )
+
+
+#: Items of the search/lineage deadline probe: large enough that an
+#: every-item search and a full trace of the chain each run ~1 s.
+DEADLINE_PROBE_ITEMS = 30_000
+
+
+def _deadline_probe_warehouse(n: int):
+    """``n`` named items ``item_0 .. item_{n-1}`` on one mapping chain."""
+    import gc
+
+    from repro.core import MetadataWarehouse, TERMS
+    from repro.rdf.namespace import RDF
+    from repro.rdf.terms import Literal, Triple
+
+    mdw = MetadataWarehouse()
+    cls = mdw.schema.declare_class("Column")
+    items = [mdw.facts.namespace.term(f"n{i:06d}") for i in range(n)]
+    for i, item in enumerate(items):
+        mdw.graph.add(Triple(item, RDF.type, cls))
+        mdw.graph.add(Triple(item, TERMS.has_name, Literal(f"item_{i}")))
+    for source, target in zip(items, items[1:]):
+        mdw.graph.add(Triple(source, TERMS.is_mapped_to, target))
+    gc.collect()  # the build's garbage, not the timed calls'
+    return mdw

@@ -7,11 +7,12 @@ pool over a hash-partitioned slice written by
 :mod:`repro.storage.partition` — and puts a :class:`ShardedQueryService`
 gateway in front:
 
-* **point lookups** (``lookup``, and downstream lineage expansion) go
-  only to the owning shard, computed with the same
-  :func:`~repro.storage.partition.shard_of` hash the partitioner used;
+* **downstream lineage expansion** goes only to the owning shard,
+  computed with the same :func:`~repro.storage.partition.shard_of` hash
+  the partitioner used; a name ``lookup`` scatters (a name does not
+  determine its owner) and returns the distinct matching terms;
 * **Listing-1 search** scatters to every healthy shard and gathers: hit
-  lists concatenate (placement is disjoint, so no dedup is needed) and
+  lists concatenate, keep one copy of a replicated ontology node, and
   re-sort into the single-node order; the per-class group counts of
   Figure 6 then merge trivially because they are derived from the hits;
 * **Listing-2 lineage** runs as an *iterative frontier exchange*: the
@@ -501,8 +502,9 @@ class ShardedQueryService:
             empty.degraded = True
             return empty
         parts = [results[i] for i in sorted(results)]
+        # a replicated ontology node is the same hit on every shard
         hits = sorted(
-            (hit for part in parts for hit in part.hits),
+            {hit.instance: hit for part in parts for hit in part.hits}.values(),
             key=lambda hit: hit.instance.sort_key(),
         )
         labels: Dict[object, str] = {}
@@ -535,8 +537,9 @@ class ShardedQueryService:
             timeout,
             call,
         )
+        # replicated ontology nodes answer from every shard: keep one
         matches = sorted(
-            (term for part in results.values() for term in part),
+            {term for part in results.values() for term in part},
             key=lambda t: t.sort_key(),
         )
         return matches, bool(failed)

@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.obs.trace import span
 from repro.rdf.terms import IRI, Literal, Term
+from repro.sparql.cancel import current_cancel
 
 from repro.core.vocabulary import TERMS
 from repro.core.warehouse import MetadataWarehouse
@@ -96,6 +97,12 @@ class LineageTrace:
         return item in self.items()
 
 
+def _first_text(graph, node: Term, predicate: IRI) -> Optional[str]:
+    """The lexical form of ``node``'s smallest literal ``predicate`` value."""
+    literals = [o for o in graph.objects(node, predicate) if isinstance(o, Literal)]
+    return min(literals, key=lambda lit: lit.sort_key()).lexical if literals else None
+
+
 class LineageService:
     """Lineage queries over one warehouse."""
 
@@ -105,15 +112,19 @@ class LineageService:
     # -- edge access ------------------------------------------------------
 
     def edge(self, source: Term, target: Term) -> LineageEdge:
-        """The mapping edge (source → target) with rule/condition text."""
+        """The mapping edge (source → target) with rule/condition text.
+
+        A mapping node asserted twice with different texts carries
+        several rule (or condition) literals; the smallest by
+        ``sort_key`` is reported, so every storage engine returns the
+        same edge whatever order it yields the literals in.
+        """
         rule = condition = None
         graph = self._mdw.graph
         for mapping in graph.objects(source, TERMS.has_mapping):
             if graph.value(mapping, TERMS.mapping_target, None) == target:
-                rule_lit = graph.value(mapping, TERMS.mapping_rule, None)
-                cond_lit = graph.value(mapping, TERMS.mapping_condition, None)
-                rule = rule_lit.lexical if isinstance(rule_lit, Literal) else None
-                condition = cond_lit.lexical if isinstance(cond_lit, Literal) else None
+                rule = _first_text(graph, mapping, TERMS.mapping_rule)
+                condition = _first_text(graph, mapping, TERMS.mapping_condition)
                 break
         return LineageEdge(source, target, rule, condition)
 
@@ -176,9 +187,14 @@ class LineageService:
         trace.depth[item] = 0
         frontier = [item]
         visited = {item}
+        token = current_cancel()
         while frontier:
             nxt: List[Term] = []
             for current in frontier:
+                # one check per expanded item: its neighbour and edge
+                # reads dwarf the clock read
+                if token is not None:
+                    token.check()
                 current_depth = trace.depth[current]
                 if max_depth is not None and current_depth >= max_depth:
                     continue

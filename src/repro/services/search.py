@@ -29,12 +29,18 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.rdf.namespace import RDF
-from repro.rdf.terms import IRI, Term
+from repro.rdf.terms import IRI, Literal, Term
+from repro.sparql.cancel import checked_iter, current_cancel
 
 from repro.core.model import World
 from repro.core.vocabulary import TERMS
 from repro.core.warehouse import MetadataWarehouse
 from repro.etl.dbpedia import SynonymThesaurus
+
+#: Deadline-check strides (powers of two): the name walk does a dict
+#: probe per row, the hit loop a handful of graph lookups per candidate.
+_WALK_CHECK_STRIDE = 256
+_HIT_CHECK_STRIDE = 16
 
 
 @lru_cache(maxsize=512)
@@ -148,7 +154,6 @@ class SearchService:
     def __init__(self, warehouse: MetadataWarehouse, thesaurus: Optional[SynonymThesaurus] = None):
         self._mdw = warehouse
         self._thesaurus = thesaurus
-        self._index = None
         # guards the lazy thesaurus build: concurrent first searches on a
         # shared snapshot facade must not each rebuild it
         self._thesaurus_lock = threading.Lock()
@@ -162,24 +167,6 @@ class SearchService:
     def _on_graph_change(self, action, triple) -> None:
         if triple.predicate in (TERMS.synonym_of, TERMS.homonym_of):
             self._thesaurus = None
-
-    def enable_index(self):
-        """Build (and auto-maintain) the inverted name index.
-
-        Plain-term searches then scan the name vocabulary instead of
-        every instance — the difference is measured in ablation A6.
-        Returns the :class:`~repro.services.text_index.NameIndex`.
-        """
-        if self._index is None:
-            from repro.services.text_index import NameIndex
-
-            self._index = NameIndex(self._mdw.graph)
-        return self._index
-
-    @property
-    def index(self):
-        """The name index, or None when not enabled."""
-        return self._index
 
     @property
     def thesaurus(self) -> SynonymThesaurus:
@@ -230,15 +217,11 @@ class SearchService:
         level_set = set(filters.levels)
         graph = self._mdw.graph
         hits: List[SearchHit] = []
-        seen: Set[Term] = set()
-        if self._index is not None and not regex:
-            candidates = self._index.candidates_for_terms(terms)
-        else:
-            candidates = self._candidate_instances(valid_classes)
-        for instance in sorted(candidates, key=lambda t: t.sort_key()):
-            if instance in seen:
-                continue
-            seen.add(instance)
+        candidates = sorted(self._candidates(patterns, valid_classes), key=lambda t: t.sort_key())
+        token = current_cancel()
+        if token is not None:
+            candidates = checked_iter(candidates, token, _HIT_CHECK_STRIDE)
+        for instance in candidates:
             name = self._mdw.facts.name_of(instance)
             if name is None:
                 continue
@@ -315,12 +298,47 @@ class SearchService:
             raise KeyError(f"no class with label or name {class_filter!r}")
         return cls
 
-    def _candidate_instances(self, valid_classes: Optional[Set[IRI]]):
+    def _candidates(
+        self, patterns: Sequence["re.Pattern"], valid_classes: Optional[Set[IRI]]
+    ) -> List[Term]:
+        """Subjects carrying a ``dm:hasName`` that some pattern matches.
+
+        One walk over the graph's own ``(dm:hasName, ?name, ?item)``
+        index: each distinct name id is decoded and tested once, however
+        many items share the name, so a search costs one pass over the
+        name vocabulary instead of one lookup per instance. With
+        ``valid_classes`` set, subjects that are not ``rdf:type`` members
+        of a valid class are dropped before any per-candidate lookup.
+        """
         graph = self._mdw.graph
-        if valid_classes is None:
-            # every typed node that is not itself a class or property
-            for subject in graph.subjects(TERMS.has_name, None):
-                yield subject
-            return
-        for cls in valid_classes:
-            yield from graph.subjects(RDF.type, cls)
+        dictionary = graph.dictionary
+        has_name = dictionary.lookup(TERMS.has_name)
+        if has_name is None:
+            return []
+        rows = graph.triples_ids(None, has_name, None)
+        token = current_cancel()
+        if token is not None:
+            rows = checked_iter(rows, token, _WALK_CHECK_STRIDE)
+        term = dictionary.term
+        verdicts: Dict[int, bool] = {}
+        matched: Set[int] = set()
+        for subject, _, name_id in rows:
+            verdict = verdicts.get(name_id)
+            if verdict is None:
+                name = term(name_id)
+                verdict = verdicts[name_id] = isinstance(name, Literal) and any(
+                    pattern.search(name.lexical) for pattern in patterns
+                )
+            if verdict:
+                matched.add(subject)
+        if valid_classes is not None:
+            rdf_type = dictionary.lookup(RDF.type)
+            if rdf_type is None:
+                return []
+            valid_ids = {dictionary.lookup(cls) for cls in valid_classes}
+            matched = {
+                subject
+                for subject in matched
+                if any(cls in valid_ids for _, _, cls in graph.triples_ids(subject, rdf_type, None))
+            }
+        return [term(subject) for subject in matched]

@@ -15,7 +15,7 @@ import pytest
 from repro.core import MetadataWarehouse, TERMS
 from repro.etl import SynonymThesaurus
 from repro.obs import parse_exposition, render_prometheus
-from repro.rdf.terms import Literal
+from repro.rdf.terms import Literal, Triple
 from repro.server import (
     DeadlineExceeded,
     QueryServiceError,
@@ -220,6 +220,22 @@ class TestSearchAndLookup:
         want = dispatch(landscape, "lookup", {"name": "trade_3"})
         with thread_service(landscape, n_shards=3) as svc:
             assert svc.execute("lookup", name="trade_3") == want
+
+    def test_replicated_node_answers_once(self):
+        """A named class is ontology, replicated to every shard: lookup
+        and search must still list it once, as a single node does."""
+        mdw = MetadataWarehouse()
+        cls = mdw.schema.declare_class("Ledger")
+        mdw.graph.add(Triple(cls, TERMS.has_name, Literal("ledger_entry")))
+        item = mdw.facts.add_instance("entry_1", cls, display_name="ledger_entry")
+        want = dispatch(mdw, "lookup", {"name": "ledger_entry"})
+        assert want == sorted([cls, item], key=lambda t: t.sort_key())
+        with thread_service(mdw) as svc:
+            assert svc.execute("lookup", name="ledger_entry") == want
+            got = svc.search("ledger")
+        assert canonical("search", got) == canonical(
+            "search", dispatch(mdw, "search", {"term": "ledger"})
+        )
 
     def test_workload_bit_identical_at_every_scale(self, landscape):
         """The acceptance-criterion identity: 1, 2 and 3 shards answer a

@@ -129,6 +129,42 @@ class TestConditions:
         assert filtered == []
 
 
+class TestEngineIndependence:
+    """A mapping asserted twice with different texts carries two rule
+    (and condition) literals; every storage engine must report the same
+    one, whatever order it stores them in."""
+
+    RULES = ["transform(merge)", "transform(derive)", "copy", "transform(split)"]
+    CONDITIONS = ["region = 'EU'", "region = 'APAC'", "active = 1"]
+
+    @pytest.fixture
+    def engines(self, tmp_path):
+        mdw = MetadataWarehouse()
+        cls = mdw.schema.declare_class("Node")
+        a, b, c = (mdw.facts.add_instance(n, cls) for n in "abc")
+        for rule, condition in zip(self.RULES, self.CONDITIONS + [None]):
+            mdw.facts.add_mapping(a, b, rule=rule, condition=condition)
+        mdw.facts.add_mapping(b, c, rule="copy")
+        path = tmp_path / "twice.mdws"
+        mdw.save_snapshot(path)
+        return mdw, MetadataWarehouse.attach_snapshot(path), (a, b, c)
+
+    def test_smallest_texts_reported(self, engines):
+        mdw, _, (a, b, _) = engines
+        edge = mdw.lineage.edge(a, b)
+        assert edge.rule == min(self.RULES)
+        assert edge.condition == min(self.CONDITIONS)
+
+    @pytest.mark.parametrize("direction,start", [("downstream", 0), ("upstream", 2)])
+    def test_traces_identical_across_engines(self, engines, direction, start):
+        mdw, mapped, items = engines
+        memory = mdw.lineage.trace(items[start], direction)
+        attached = mapped.lineage.trace(items[start], direction)
+        assert attached.edges == memory.edges
+        assert attached.depth == memory.depth
+        assert len(memory.edges) == 2
+
+
 class TestPathExplosion:
     def test_counts_grow_exponentially(self):
         counts = []
